@@ -73,13 +73,15 @@ def seed_sweep(
     """Run ``policy_factory(seed)`` over ``trace`` per seed; summarize.
 
     ``metric`` is any :class:`~repro.types.SimResult` attribute
-    (``misses``, ``miss_ratio``, ``spatial_hits``, ...).
+    (``misses``, ``miss_ratio``, ``spatial_hits``, ...).  Each seed
+    replays through its policy's kernel (bit-identical to the referee,
+    which ``simulate`` falls back to for policies without one).
     """
     if not seeds:
         raise ConfigurationError("need at least one seed")
     values: List[float] = []
     for seed in seeds:
-        result = simulate(policy_factory(seed), trace)
+        result = simulate(policy_factory(seed), trace, fast=True)
         values.append(float(getattr(result, metric)))
     return _summarize(label, values)
 

@@ -74,6 +74,7 @@ from __future__ import annotations
 
 import heapq
 import os
+from bisect import bisect_left, insort
 from collections import OrderedDict
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -707,67 +708,39 @@ def _kernel_gcm(
     Replays :class:`~repro.policies.marking._GCMBase` verbatim on
     original item ids: the same ``sorted()`` candidate orderings, the
     same ``rng.integers``/``rng.shuffle`` call sequence on the same
-    seeded generator, the same churn algebra (a same-block step-1
-    victim can be re-loaded as a neighbour) and the engine's
-    spatial-pending classification.  ``mark_side_loads`` selects
-    gcm vs gcm-markall; ``max_load`` is gcm-partial's dial.
+    seeded generator, the same churn rule (a same-block step-1 victim
+    can be re-loaded as a neighbour) and the engine's spatial-pending
+    classification.  ``mark_side_loads`` selects gcm vs gcm-markall;
+    ``max_load`` is gcm-partial's dial.
 
     The referee materialises and sorts the candidate set per eviction
     (``sorted(res - mk)[rng.integers(n)]`` — O(k log k) per miss).
-    The kernel answers the same query as a *rank selection*: the draw
-    ``idx = rng.integers(n)`` picks the ``(idx+1)``-th smallest
-    candidate id, which two Fenwick trees over original item ids
-    (resident / unmarked-resident membership) select in O(log U).
-    The RNG argument is the candidate *count* and the selected id is
-    the same order statistic, so the draw sequence and every victim
-    are bit-identical to the referee — only the cost changes.
+    The kernel keeps that sorted candidate list, ``cand`` (the unmarked
+    residents), up to date instead: marking a resident deletes it by
+    bisection, this access's unmarked side loads are ``insort``-ed after
+    the load loop, and a phase end re-sorts the residents.  An eviction
+    is then ``cand.pop(rng.integers(len(cand)))``: the RNG argument is
+    the referee's candidate count and the popped id the same order
+    statistic, so the draw sequence and every victim are bit-identical
+    to the referee — only the cost changes.
     """
     rng = np.random.default_rng(seed)
     resident: set = set()
     marked: set = set()
     pending: set = set()  # side-loaded residents not yet hit
+    cand: List[int] = []  # sorted(resident - marked), mutated in place
     members_of = ct.block_members
-    # Fenwick (binary-indexed) membership trees over original item ids;
-    # ``item_block`` covers every id a GCM replay can ever load.
-    n_ids = (max(ct.item_block) + 1) if ct.item_block else 1
-    rtree = [0] * (n_ids + 1)  # all residents
-    utree = [0] * (n_ids + 1)  # unmarked residents (phase candidates)
-    top = 1
-    while (top << 1) <= n_ids:
-        top <<= 1
-    fw = [0, 0]  # (resident count, unmarked count) across chunks
-
-    def fw_add(tree: List[int], i: int, d: int) -> None:
-        i += 1
-        while i <= n_ids:
-            tree[i] += d
-            i += i & -i
-
-    def fw_select(tree: List[int], k: int) -> int:
-        """The item id holding rank ``k`` (1-based k-th smallest)."""
-        pos = 0
-        bit = top
-        while bit:
-            nxt = pos + bit
-            if nxt <= n_ids and tree[nxt] < k:
-                pos = nxt
-                k -= tree[nxt]
-            bit >>= 1
-        return pos
-
     st = [0, 0, 0, 0, 0]  # misses, temporal, spatial, loaded_n, evicted_n
 
     def run(items: List[int], blocks: List[int], dense: List[int]) -> None:
         misses, temporal, spatial, loaded_n, evicted_n = st
-        rcount, ucount = fw
         integers, shuffle = rng.integers, rng.shuffle
-        res, mk, pend = resident, marked, pending
+        res, mk, pend, cd = resident, marked, pending, cand
         for it, blk in zip(items, blocks):
             if it in res:
                 if it not in mk:
                     mk.add(it)
-                    fw_add(utree, it, -1)
-                    ucount -= 1
+                    del cd[bisect_left(cd, it)]
                 if it in pend:
                     pend.discard(it)
                     spatial += 1
@@ -778,77 +751,56 @@ def _kernel_gcm(
                     if record is not None:
                         record.append(KIND_TEMPORAL)
                 continue
-            loaded: set = set()
-            evicted: set = set()
-            # 1. Load and mark the requested item.  The victim is the
-            # referee's ``sorted(res - mk)[idx]`` selected by rank.
-            if rcount >= capacity:
-                if ucount == 0:
+            misses += 1
+            # 1. Load and mark the requested item.  The step-1 victim is
+            # the only item that can churn: it may return as a neighbour.
+            first = None
+            if len(res) >= capacity:
+                if not cd:
                     mk.clear()  # phase ends: all residents candidates
-                    utree[:] = rtree
-                    ucount = rcount
-                victim = fw_select(utree, int(integers(ucount)) + 1)
-                fw_add(utree, victim, -1)
-                ucount -= 1
-                fw_add(rtree, victim, -1)
-                rcount -= 1
-                res.discard(victim)
-                evicted.add(victim)
+                    cd[:] = sorted(res)
+                first = cd.pop(int(integers(len(cd))))
+                res.discard(first)
+                evicted_n += 1
             res.add(it)
             mk.add(it)
-            loaded.add(it)
-            fw_add(rtree, it, 1)
-            rcount += 1
+            loaded_n += 1
             # 2. Bring in the rest of the block, replacing unmarked
             # items (never this access's own loads).
             neighbours = [x for x in members_of[blk] if x not in res]
             if neighbours:
                 shuffle(neighbours)
             if max_load is not None:
-                neighbours = neighbours[: max_load - 1]
-            side_loaded: List[int] = []
+                del neighbours[max_load - 1 :]
+            n_side = 0
             for nb in neighbours:
-                if rcount >= capacity:
+                if len(res) >= capacity:
                     # Referee candidates = res - mk - loaded.  This
-                    # access's unmarked side loads enter ``utree`` only
-                    # after the loop, so the tree holds exactly that
-                    # set and ``ucount`` is the referee's count.
-                    if ucount == 0:
+                    # access's side loads join ``cd`` only after the
+                    # loop, so ``cd`` is exactly that set.
+                    if not cd:
                         break
-                    victim = fw_select(utree, int(integers(ucount)) + 1)
-                    fw_add(utree, victim, -1)
-                    ucount -= 1
-                    fw_add(rtree, victim, -1)
-                    rcount -= 1
+                    victim = cd.pop(int(integers(len(cd))))
                     res.discard(victim)
-                    evicted.add(victim)
+                    pend.discard(victim)
+                    evicted_n += 1
                 res.add(nb)
-                loaded.add(nb)
-                fw_add(rtree, nb, 1)
-                rcount += 1
+                n_side += 1
                 if mark_side_loads:
                     mk.add(nb)
+                if nb == first:  # churn: neither loaded nor evicted
+                    first = None
+                    evicted_n -= 1
                 else:
-                    side_loaded.append(nb)
-            # Deferred: this access's unmarked side loads become
-            # eviction candidates for later accesses only.
-            for nb in side_loaded:
-                fw_add(utree, nb, 1)
-            ucount += len(side_loaded)
-            # (The referee's ``marked &= resident`` is a no-op: victims
-            # are always unmarked at eviction time.)
-            churn = loaded & evicted
-            eff_loaded = loaded - churn
-            eff_evicted = evicted - churn
-            misses += 1
-            loaded_n += len(eff_loaded)
-            evicted_n += len(eff_evicted)
-            pend -= eff_evicted
-            for member in eff_loaded:
-                if member != it:
-                    pend.add(member)
-                else:
-                    pend.discard(member)
+                    loaded_n += 1
+                    pend.add(nb)
+            if first is not None:
+                pend.discard(first)
+            if not mark_side_loads:
+                # Deferred: this access's unmarked side loads become
+                # eviction candidates for later accesses only.
+                for j in range(n_side):
+                    insort(cd, neighbours[j])
             if record is not None:
                 record.append(KIND_MISS)
         st[0], st[1], st[2], st[3], st[4] = (
@@ -858,7 +810,6 @@ def _kernel_gcm(
             loaded_n,
             evicted_n,
         )
-        fw[0], fw[1] = rcount, ucount
 
     def finish() -> _Counts:
         return st[0], st[1], st[2], st[3], st[4]
@@ -958,78 +909,37 @@ def _kernel_iblp(
     :class:`~repro.policies.iblp.BlockFirstIBLP`: the block layer's
     recency is refreshed on *every* access to a resident block — §5.1's
     pollution hazard — before the item layer is consulted.
+
+    ``refcount`` maps each resident item to the number of layers
+    holding it.  On a miss, a release that drops an item to zero keeps
+    a 0 entry and queues the item on ``drop``; the access ends by
+    evicting every queued item still at zero.  An item released and
+    re-acquired within one access (the item-layer victim or trimmed
+    residue re-loaded with its block) is thus neither loaded nor
+    evicted and keeps its pending state — the referee's
+    ``loaded & evicted`` churn rule, without per-miss sets.
     """
     ils = item_layer_size
     bls = capacity - ils
     items_d: Dict[int, None] = {}  # item layer, insertion order = LRU→MRU
     blocks_d: Dict[int, Tuple[int, ...]] = {}  # block layer
     refcount: Dict[int, int] = {}  # item -> number of layers holding it
-    occupancy_cell = [0]  # item slots used by the block layer
     pending: set = set()
     members_of = ct.block_members
-    st = [0, 0, 0, 0, 0]  # misses, temporal, spatial, loaded_n, evicted_n
-
-    def acquire(x: int, loaded: set) -> None:
-        n = refcount.get(x, 0)
-        refcount[x] = n + 1
-        if n == 0:
-            loaded.add(x)
-
-    def release(x: int, evicted: set) -> None:
-        n = refcount[x] - 1
-        if n:
-            refcount[x] = n
-        else:
-            del refcount[x]
-            evicted.add(x)
-
-    def item_insert(x: int, loaded: set, evicted: set) -> None:
-        if ils == 0:
-            return
-        if x in items_d:
-            items_d[x] = items_d.pop(x)
-            return
-        if len(items_d) >= ils:
-            victim = next(iter(items_d))
-            del items_d[victim]
-            release(victim, evicted)
-        items_d[x] = None
-        acquire(x, loaded)
-
-    def block_insert(blk: int, x: int, loaded: set, evicted: set) -> None:
-        if bls == 0:
-            return
-        if blk in blocks_d:
-            stale = blocks_d.pop(blk)
-            occupancy_cell[0] -= len(stale)
-            for s in stale:
-                release(s, evicted)
-        members = members_of[blk]
-        load = members
-        if len(members) > bls:
-            keep = [x] + [m for m in members if m != x]
-            load = tuple(keep[:bls])
-        while occupancy_cell[0] + len(load) > bls:
-            victim_block = next(iter(blocks_d))
-            victim_items = blocks_d.pop(victim_block)
-            occupancy_cell[0] -= len(victim_items)
-            for v in victim_items:
-                release(v, evicted)
-        blocks_d[blk] = load
-        occupancy_cell[0] += len(load)
-        for member in load:
-            acquire(member, loaded)
+    # misses, temporal, spatial, loaded_n, evicted_n, block-layer slots used
+    st = [0, 0, 0, 0, 0, 0]
 
     def run(items: List[int], blocks: List[int], dense: List[int]) -> None:
-        misses, temporal, spatial, loaded_n, evicted_n = st
-        pend = pending
+        misses, temporal, spatial, loaded_n, evicted_n, occ = st
+        pend, rc, idl, bdl = pending, refcount, items_d, blocks_d
+        drop: List[int] = []  # released to zero during the current miss
         for it, blk in zip(items, blocks):
             if block_first:
-                block_hit = blk in blocks_d
+                block_hit = blk in bdl
                 if block_hit:
-                    blocks_d[blk] = blocks_d.pop(blk)  # harmful reordering
-            if it in items_d:
-                items_d[it] = items_d.pop(it)  # pure item-layer hit
+                    bdl[blk] = bdl.pop(blk)  # harmful reordering
+            if it in idl:
+                idl[it] = idl.pop(it)  # pure item-layer hit
                 if it in pend:
                     pend.discard(it)
                     spatial += 1
@@ -1041,18 +951,25 @@ def _kernel_iblp(
                         record.append(KIND_TEMPORAL)
                 continue
             if not block_first:
-                block_hit = blk in blocks_d
-            loaded: set = set()
-            evicted: set = set()
-            if block_hit and it in refcount:
+                block_hit = blk in bdl
+            if block_hit and it in rc:
                 # Block-layer hit: refresh recency, promote the item.
+                # Promoting a resident loads nothing, so nothing churns.
                 if not block_first:
-                    blocks_d[blk] = blocks_d.pop(blk)
-                item_insert(it, loaded, evicted)
-                loaded.discard(it)  # promoting a resident is not a load
-                eff_evicted = evicted - (loaded & evicted)
-                evicted_n += len(eff_evicted)
-                pend -= eff_evicted
+                    bdl[blk] = bdl.pop(blk)
+                if ils:
+                    if len(idl) >= ils:
+                        victim = next(iter(idl))
+                        del idl[victim]
+                        n = rc[victim] - 1
+                        if n:
+                            rc[victim] = n
+                        else:
+                            del rc[victim]
+                            pend.discard(victim)
+                            evicted_n += 1
+                    idl[it] = None
+                    rc[it] += 1
                 if it in pend:
                     pend.discard(it)
                     spatial += 1
@@ -1063,30 +980,60 @@ def _kernel_iblp(
                     if record is not None:
                         record.append(KIND_TEMPORAL)
                 continue
-            # Full miss: both layers load.
-            item_insert(it, loaded, evicted)
-            block_insert(blk, it, loaded, evicted)
-            churn = loaded & evicted
-            eff_loaded = loaded - churn
-            eff_evicted = evicted - churn
+            # Full miss: both layers load; neither holds ``it`` yet.
             misses += 1
-            loaded_n += len(eff_loaded)
-            evicted_n += len(eff_evicted)
-            pend -= eff_evicted
-            for member in eff_loaded:
-                if member != it:
-                    pend.add(member)
-                else:
-                    pend.discard(member)
+            if ils:
+                if len(idl) >= ils:
+                    victim = next(iter(idl))
+                    del idl[victim]
+                    n = rc[victim] - 1
+                    rc[victim] = n
+                    if not n:
+                        drop.append(victim)
+                idl[it] = None
+                rc[it] = 1
+                loaded_n += 1
+            if bls:
+                stale = bdl.pop(blk, None)
+                if stale is not None:  # trimmed residue (k < |block|)
+                    occ -= len(stale)
+                    for x in stale:
+                        n = rc[x] - 1
+                        rc[x] = n
+                        if not n:
+                            drop.append(x)
+                load = members_of[blk]
+                if len(load) > bls:
+                    load = tuple(([it] + [m for m in load if m != it])[:bls])
+                while occ + len(load) > bls:
+                    victim_items = bdl.pop(next(iter(bdl)))
+                    occ -= len(victim_items)
+                    for x in victim_items:
+                        n = rc[x] - 1
+                        rc[x] = n
+                        if not n:
+                            drop.append(x)
+                bdl[blk] = load
+                occ += len(load)
+                for m in load:
+                    n = rc.get(m, -1)
+                    if n < 0:
+                        rc[m] = 1
+                        loaded_n += 1
+                        if m != it:
+                            pend.add(m)
+                    else:
+                        rc[m] = n + 1  # n == 0: churn, state unchanged
+            if drop:
+                for x in drop:
+                    if not rc[x]:
+                        del rc[x]
+                        pend.discard(x)
+                        evicted_n += 1
+                drop.clear()
             if record is not None:
                 record.append(KIND_MISS)
-        st[0], st[1], st[2], st[3], st[4] = (
-            misses,
-            temporal,
-            spatial,
-            loaded_n,
-            evicted_n,
-        )
+        st[:] = misses, temporal, spatial, loaded_n, evicted_n, occ
 
     def finish() -> _Counts:
         return st[0], st[1], st[2], st[3], st[4]

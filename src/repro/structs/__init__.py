@@ -1,13 +1,8 @@
 """Low-level data structures used by cache policies and profilers.
 
-Two interchangeable LRU list implementations are provided:
-
-* :class:`~repro.structs.linked_lru.LinkedLRU` — an intrusive doubly
-  linked list with a dict index; every operation is O(1) with small
-  constants.  This is the default inside hot simulation loops.
-* :class:`~repro.structs.ordered_lru.OrderedLRU` — a thin wrapper over
-  :class:`collections.OrderedDict`; used as a differential-testing
-  oracle for the linked-list version.
+:class:`~repro.structs.linked_lru.LinkedLRU` is an intrusive doubly
+linked list with a dict index; every operation is O(1) with small
+constants.
 
 :class:`~repro.structs.window_counter.SlidingWindowDistinct` supports
 O(1)-amortized sliding-window distinct counting, the kernel behind the
@@ -17,13 +12,11 @@ CLOCK policy.
 """
 
 from repro.structs.linked_lru import LinkedLRU
-from repro.structs.ordered_lru import OrderedLRU
 from repro.structs.window_counter import SlidingWindowDistinct, max_distinct_per_window
 from repro.structs.clock_hand import ClockHand
 
 __all__ = [
     "LinkedLRU",
-    "OrderedLRU",
     "SlidingWindowDistinct",
     "max_distinct_per_window",
     "ClockHand",

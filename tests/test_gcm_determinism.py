@@ -15,13 +15,22 @@ contract:
   own kernel closure — chunked traversal and cell order cannot
   perturb the draw sequence;
 * a parallel sweep (``REPRO_JOBS`` workers) over seeded GCM cells is
-  bit-identical to the serial sweep.
+  bit-identical to the serial sweep;
+* the kernels' sorted candidate list survives chunk boundaries: sparse
+  ids from a 2^20-item universe, any chunk size, and a phase end placed
+  right at a chunk boundary all replay bit-identically.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.conformance import assert_conformant
+from repro.core.conformance import (
+    RESULT_FIELDS,
+    assert_conformant,
+    referee_outcomes,
+)
 from repro.core.engine import simulate
 from repro.core.fast import fast_simulate, multi_policy_replay
 from repro.core.mapping import FixedBlockMapping
@@ -116,3 +125,98 @@ def test_parallel_sweep_is_bit_identical_for_seeded_gcm(
         for key in ("policy", "capacity", "seed", "misses",
                     "temporal_hits", "spatial_hits", "miss_ratio"):
             assert row_s[key] == row_p[key], (key, row_s, row_p)
+
+
+# -- sorted candidate list across chunk boundaries ---------------------------
+SPARSE_UNIVERSE = 1 << 20
+
+
+def _assert_chunked_replay_matches_referee(cells, trace, chunk):
+    """One chunked ``multi_policy_replay`` vs per-cell referee runs:
+    every result field and the per-access outcome stream."""
+    record = {}
+    results = multi_policy_replay(cells, trace, record=record, chunk=chunk)
+    for i, (name, cap, kwargs) in enumerate(cells):
+        policy = make_policy(name, cap, trace.mapping, **kwargs)
+        ref, ref_codes = referee_outcomes(policy, trace)
+        for field in RESULT_FIELDS:
+            assert getattr(results[i], field) == getattr(ref, field), (
+                cells[i], chunk, field
+            )
+        assert record[i] == ref_codes, (cells[i], chunk)
+
+
+@st.composite
+def _sparse_gcm_case(draw):
+    B = draw(st.sampled_from([2, 4, 8]))
+    blocks = draw(
+        st.lists(
+            st.integers(0, SPARSE_UNIVERSE // B - 1),
+            min_size=2,
+            max_size=8,
+            unique=True,
+        )
+    )
+    accesses = draw(
+        st.lists(
+            st.tuples(st.sampled_from(blocks), st.integers(0, B - 1)),
+            min_size=40,
+            max_size=200,
+        )
+    )
+    items = np.array([b * B + off for b, off in accesses], dtype=np.int64)
+    mapping = FixedBlockMapping(universe=SPARSE_UNIVERSE, block_size=B)
+    k = draw(st.integers(1, 2 * B))
+    seed = draw(st.integers(0, 2**16))
+    cells = [
+        ("gcm", k, {"seed": seed}),
+        ("gcm-markall", k, {"seed": seed}),
+        ("gcm-partial", k, {"load_count": 1, "seed": seed}),
+        ("gcm-partial", k, {"load_count": draw(st.integers(2, B)), "seed": seed}),
+    ]
+    return Trace(items, mapping), cells, draw(st.integers(1, 64))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_sparse_gcm_case())
+def test_chunked_sparse_replay_is_bit_identical(case):
+    trace, cells, chunk = case
+    _assert_chunked_replay_matches_referee(cells, trace, chunk)
+
+
+def _phase_ends(name, capacity, trace, **kwargs):
+    """Positions where the referee ends a marking phase: a miss on a
+    full cache whose residents are all marked."""
+    policy = make_policy(name, capacity, trace.mapping, **kwargs)
+    ends = []
+    for pos, item in enumerate(trace.items.tolist()):
+        resident = policy.resident_items()
+        if (
+            item not in resident
+            and len(resident) >= capacity
+            and resident <= policy.marked_items()
+        ):
+            ends.append(pos)
+        policy.access(item)
+    return ends
+
+
+@pytest.mark.parametrize("policy", GCM_VARIANTS)
+def test_phase_end_on_chunk_boundary(policy):
+    """A phase end re-sorts the whole candidate list; the rebuilt list
+    must carry into the next chunk.  Place the phase-ending access
+    first in a chunk and last in a chunk."""
+    B, k = 4, 6
+    gen = np.random.default_rng(5)
+    blocks = gen.choice(SPARSE_UNIVERSE // B, size=5, replace=False)
+    items = blocks[gen.integers(0, 5, size=300)] * B + gen.integers(0, B, size=300)
+    trace = Trace(items, FixedBlockMapping(universe=SPARSE_UNIVERSE, block_size=B))
+    kwargs = {"seed": 3}
+    if policy == "gcm-partial":
+        kwargs["load_count"] = 2
+    ends = [p for p in _phase_ends(policy, k, trace, **kwargs) if 1 < p < 250]
+    assert ends, "trace must end a phase mid-stream"
+    for chunk in (ends[0], ends[0] + 1):
+        _assert_chunked_replay_matches_referee(
+            [(policy, k, kwargs)], trace, chunk
+        )

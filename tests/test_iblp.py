@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.core.conformance import referee_outcomes
 from repro.core.engine import simulate
+from repro.core.fast import KIND_MISS, KIND_TEMPORAL, multi_policy_replay
 from repro.core.mapping import FixedBlockMapping
 from repro.core.trace import Trace
 from repro.errors import ConfigurationError
@@ -168,3 +170,26 @@ def test_spatial_hits_counted_via_engine(mapping):
     assert res.misses == 1
     assert res.spatial_hits == 2  # first hits on 1 and 2
     assert res.temporal_hits == 2  # repeats of 0 and 1
+
+
+@pytest.mark.parametrize("policy_cls", [IBLP, BlockFirstIBLP])
+def test_item_victim_reacquired_by_block_load_is_churn(mapping, policy_cls):
+    """On the third access (item 1, block 0) the item layer evicts item
+    0, held by no other layer, and the block load brings it straight
+    back.  That is churn: 0 is neither loaded nor evicted and keeps its
+    non-pending state, so the final access to 0 is a temporal hit."""
+    trace = Trace(np.array([0, 4, 1, 0]), mapping)
+    ref, ref_codes = referee_outcomes(
+        policy_cls(6, mapping, item_layer_size=2), trace
+    )
+    record = {}
+    [fast] = multi_policy_replay(
+        [(policy_cls.name, 6, {"item_layer_size": 2})], trace, record=record
+    )
+    assert ref_codes == [KIND_MISS, KIND_MISS, KIND_MISS, KIND_TEMPORAL]
+    assert record[0] == ref_codes
+    # Loads: {0,1,2,3}, {4,5,6,7}, then {1,2,3} (0 churns).
+    # Evictions: {1,2,3}, {5,6,7}, then 4 (item-layer victim on the hit).
+    assert (ref.loaded_items, ref.evicted_items) == (11, 7)
+    for field in ("loaded_items", "evicted_items", "temporal_hits", "spatial_hits"):
+        assert getattr(fast, field) == getattr(ref, field), field

@@ -1,6 +1,10 @@
 """Unit tests for the intrusive linked-list LRU."""
 
+from collections import OrderedDict
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.structs.linked_lru import LinkedLRU
 
@@ -133,3 +137,52 @@ def test_interleaved_operations_maintain_consistency():
         lru.remove(x)
     assert sorted(lru) == [0, 2, 4, 6, 8]
     assert lru.lru_key() == 0  # touched first among evens
+
+
+# -- differential property test ------------------------------------------------
+
+_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("insert"), st.integers(0, 9)),
+        st.tuples(st.just("touch"), st.integers(0, 9)),
+        st.tuples(st.just("demote"), st.integers(0, 9)),
+        st.tuples(st.just("remove"), st.integers(0, 9)),
+        st.tuples(st.just("pop_lru"), st.just(0)),
+        st.tuples(st.just("pop_mru"), st.just(0)),
+    ),
+    max_size=60,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ops)
+def test_matches_ordereddict_model(ops):
+    """Any operation sequence matches an ``OrderedDict`` (LRU first)."""
+    lru, model = LinkedLRU(), OrderedDict()
+    for op, key in ops:
+        if op == "insert":
+            if key in lru:
+                continue
+            lru.insert_mru(key, key * 2)
+            model[key] = key * 2
+        elif op in ("touch", "demote", "remove"):
+            if key not in lru:
+                continue
+            if op == "touch":
+                lru.touch(key)
+                model.move_to_end(key)
+            elif op == "demote":
+                lru.demote(key)
+                model.move_to_end(key, last=False)
+            else:
+                assert lru.remove(key) == model.pop(key)
+        else:
+            if not lru:
+                continue
+            assert getattr(lru, op)() == model.popitem(last=op == "pop_mru")
+        assert len(lru) == len(model)
+        assert list(lru) == list(reversed(model))
+        assert list(lru.keys_lru_to_mru()) == list(model)
+        if lru:
+            assert lru.lru_key() == next(iter(model))
+            assert lru.mru_key() == next(reversed(model))
