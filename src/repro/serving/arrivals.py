@@ -16,6 +16,7 @@ from the spec — no global RNG state, no wall clock.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Optional
 
@@ -33,6 +34,16 @@ __all__ = [
 
 #: Open-loop process names (closed-loop is driven by the server loop).
 OPEN_LOOP = ("poisson", "mmpp", "constant")
+
+
+def require_finite(owner: str, **values: Optional[float]) -> None:
+    """Reject a NaN or infinite config value, naming its field.
+
+    ``None`` values (unset optional knobs) pass.
+    """
+    for name, value in values.items():
+        if value is not None and not math.isfinite(value):
+            raise ConfigurationError(f"{owner}.{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -73,6 +84,15 @@ class ArrivalSpec:
     think: float = 0.0
 
     def __post_init__(self) -> None:
+        require_finite(
+            "ArrivalSpec",
+            rate=self.rate,
+            rate_on=self.rate_on,
+            rate_off=self.rate_off,
+            mean_on=self.mean_on,
+            mean_off=self.mean_off,
+            think=self.think,
+        )
         if self.process not in OPEN_LOOP + ("closed",):
             raise ConfigurationError(
                 f"unknown arrival process {self.process!r}; known: "
@@ -82,6 +102,11 @@ class ArrivalSpec:
             raise ConfigurationError(f"arrival rate must be > 0, got {self.rate}")
         if self.process == "mmpp" and (self.mean_on <= 0 or self.mean_off <= 0):
             raise ConfigurationError("mmpp dwell times must be > 0")
+        # A silent ON state would stall the MMPP sampler forever.
+        if self.rate_on is not None and self.rate_on <= 0:
+            raise ConfigurationError(f"rate_on must be > 0, got {self.rate_on}")
+        if self.rate_off is not None and self.rate_off < 0:
+            raise ConfigurationError(f"rate_off must be >= 0, got {self.rate_off}")
         if self.process == "closed":
             if self.clients < 1:
                 raise ConfigurationError(

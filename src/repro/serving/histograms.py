@@ -19,9 +19,8 @@ top, so p100 is always exact.
 from __future__ import annotations
 
 import math
+from math import log10
 from typing import Any, Dict, List, Mapping
-
-import numpy as np
 
 from repro.errors import ConfigurationError
 
@@ -59,14 +58,14 @@ class LatencyHistogram:
     def __init__(
         self, lo: float = 1e-3, per_decade: int = 20, decades: int = 12
     ) -> None:
-        if lo <= 0:
-            raise ConfigurationError(f"histogram lo must be > 0, got {lo}")
+        if not 0 < lo < math.inf:
+            raise ConfigurationError(f"histogram lo must be finite and > 0, got {lo}")
         if per_decade < 1 or decades < 1:
             raise ConfigurationError("per_decade and decades must be >= 1")
         self.lo = float(lo)
         self.per_decade = int(per_decade)
         self.decades = int(decades)
-        self.counts = np.zeros(self.per_decade * self.decades, dtype=np.int64)
+        self.counts: List[int] = [0] * (self.per_decade * self.decades)
         self.underflow = 0
         self.overflow = 0
         self.count = 0
@@ -86,11 +85,12 @@ class LatencyHistogram:
         if value < self.lo:
             self.underflow += 1
             return
-        index = int(self.per_decade * math.log10(value / self.lo))
-        if index >= self.counts.size:
-            self.overflow += 1
+        index = int(self.per_decade * log10(value / self.lo))
+        counts = self.counts
+        if index < len(counts):
+            counts[index] += 1
         else:
-            self.counts[index] += 1
+            self.overflow += 1
 
     # -- reading -----------------------------------------------------------
     def bucket_edge(self, index: int) -> float:
@@ -109,8 +109,8 @@ class LatencyHistogram:
         seen = self.underflow
         if target <= seen:
             return min(self.lo, self.max)
-        for index in range(self.counts.size):
-            seen += int(self.counts[index])
+        for index, bucket in enumerate(self.counts):
+            seen += bucket
             if target <= seen:
                 return min(self.bucket_edge(index), self.max)
         return self.max
@@ -141,7 +141,7 @@ class LatencyHistogram:
         ):
             raise ConfigurationError("cannot merge differently-bucketed histograms")
         out = LatencyHistogram(self.lo, self.per_decade, self.decades)
-        out.counts = self.counts + other.counts
+        out.counts = [a + b for a, b in zip(self.counts, other.counts)]
         out.underflow = self.underflow + other.underflow
         out.overflow = self.overflow + other.overflow
         out.count = self.count + other.count
@@ -153,9 +153,7 @@ class LatencyHistogram:
     # -- lossless JSON round-trip ------------------------------------------
     def as_dict(self) -> Dict[str, Any]:
         """Exact JSON-safe payload (sparse ``[index, count]`` pairs)."""
-        nonzero: List[List[int]] = [
-            [int(i), int(c)] for i, c in enumerate(self.counts.tolist()) if c
-        ]
+        nonzero: List[List[int]] = [[i, c] for i, c in enumerate(self.counts) if c]
         return {
             "lo": self.lo,
             "per_decade": self.per_decade,
@@ -171,16 +169,43 @@ class LatencyHistogram:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "LatencyHistogram":
+        """Rebuild from :meth:`as_dict`; stored payloads are outside
+        input, so every bucket and the count identity are checked."""
         out = cls(
             lo=float(data["lo"]),
             per_decade=int(data["per_decade"]),
             decades=int(data["decades"]),
         )
-        for index, value in data["buckets"]:
-            out.counts[int(index)] = int(value)
+        size = len(out.counts)
+        for entry in data["buckets"]:
+            if len(entry) != 2:
+                raise ConfigurationError(
+                    f"histogram bucket {entry!r}: expected [index, count]"
+                )
+            index, value = int(entry[0]), int(entry[1])
+            if not 0 <= index < size:
+                raise ConfigurationError(
+                    f"histogram bucket {entry!r}: index outside [0, {size})"
+                )
+            if value < 1:
+                raise ConfigurationError(
+                    f"histogram bucket {entry!r}: count must be >= 1"
+                )
+            out.counts[index] = value
         out.underflow = int(data["underflow"])
         out.overflow = int(data["overflow"])
         out.count = int(data["count"])
+        if out.underflow < 0 or out.overflow < 0:
+            raise ConfigurationError(
+                f"histogram underflow {out.underflow} and overflow "
+                f"{out.overflow} must be >= 0"
+            )
+        recorded = out.underflow + out.overflow + sum(out.counts)
+        if out.count != recorded:
+            raise ConfigurationError(
+                f"histogram count {out.count} != underflow + overflow + "
+                f"buckets = {recorded}"
+            )
         out.total = float(data["total"])
         out.min = float(data["min"]) if data["min"] is not None else math.inf
         out.max = float(data["max"]) if data["max"] is not None else -math.inf

@@ -20,8 +20,8 @@ decision stream is exactly the offline one; serving only adds *time*:
   or shortest-expected-job-first queue, optional admission bound
   (``queue_limit``) and queue-wait ``timeout``.
 
-Determinism: simulated time comes from the seeded event heap
-(:mod:`repro.serving.events`) and seeded NumPy generators only — no
+Determinism: simulated time comes from a seeded event heap (ties
+broken by scheduling order) and seeded NumPy generators only — no
 wall clock anywhere — so a (policy, trace, config) triple maps to a
 bit-identical :class:`ServingResult`, including histogram payloads,
 which is what lets the campaign layer content-address serving cells.
@@ -37,6 +37,9 @@ knobs deliberately trade that equivalence for scheduling realism.
 from __future__ import annotations
 
 import contextlib
+import heapq
+import math
+import numbers
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
@@ -46,8 +49,7 @@ import numpy as np
 from repro.core.engine import Engine
 from repro.core.trace import Trace
 from repro.errors import ConfigurationError, ProtocolViolation
-from repro.serving.arrivals import ArrivalSpec, generate_arrivals
-from repro.serving.events import EventLoop
+from repro.serving.arrivals import ArrivalSpec, generate_arrivals, require_finite
 from repro.serving.histograms import LatencyHistogram
 from repro.telemetry import spans
 from repro.types import HitKind, SimResult
@@ -104,6 +106,14 @@ class ServiceModel:
     size_shape: float = 0.348238
 
     def __post_init__(self) -> None:
+        require_finite(
+            "ServiceModel",
+            t_hit=self.t_hit,
+            t_miss=self.t_miss,
+            t_item=self.t_item,
+            size_scale=self.size_scale,
+            size_shape=self.size_shape,
+        )
         if self.t_hit < 0 or self.t_miss < 0 or self.t_item < 0:
             raise ConfigurationError("service times must be >= 0")
         if self.t_hit + self.t_miss <= 0:
@@ -119,18 +129,6 @@ class ServiceModel:
             )
         if self.size_scale <= 0 or self.size_shape <= 0:
             raise ConfigurationError("size_scale and size_shape must be > 0")
-
-    def mean_time(self, kind: HitKind, loaded: int) -> float:
-        """Mean service time for one classified access."""
-        if kind is HitKind.MISS:
-            return self.t_hit + self.t_miss + self.t_item * max(0, loaded - 1)
-        return self.t_hit
-
-    def sample(self, kind: HitKind, loaded: int, rng: np.random.Generator) -> float:
-        mean = self.mean_time(kind, loaded)
-        if self.dist == "deterministic":
-            return mean
-        return float(rng.exponential(mean)) if mean > 0 else 0.0
 
     def item_weights(self, universe: int) -> Optional[np.ndarray]:
         """Per-item transfer weights (mean 1.0), or ``None`` for fixed.
@@ -151,18 +149,6 @@ class ServiceModel:
             shape=self.size_shape,
         )
         return sizes / sizes.mean()
-
-    def sample_weighted(
-        self, kind: HitKind, extra_weight: float, rng: np.random.Generator
-    ) -> float:
-        """Like :meth:`sample`, with the extra-item cost pre-weighted."""
-        if kind is HitKind.MISS:
-            mean = self.t_hit + self.t_miss + self.t_item * extra_weight
-        else:
-            mean = self.t_hit
-        if self.dist == "deterministic":
-            return mean
-        return float(rng.exponential(mean)) if mean > 0 else 0.0
 
     def as_dict(self) -> Dict[str, Any]:
         out = {
@@ -214,6 +200,15 @@ class ServingConfig:
     hist_decades: int = 12
 
     def __post_init__(self) -> None:
+        require_finite("ServingConfig", timeout=self.timeout, hist_lo=self.hist_lo)
+        for name in ("concurrency", "queue_limit", "hist_per_decade", "hist_decades"):
+            value = getattr(self, name)
+            if value is not None and not isinstance(value, numbers.Integral):
+                raise ConfigurationError(
+                    f"ServingConfig.{name} must be an integer, got {value!r}"
+                )
+        if self.hist_lo <= 0:
+            raise ConfigurationError(f"hist_lo must be > 0, got {self.hist_lo}")
         if self.concurrency < 1:
             raise ConfigurationError(
                 f"concurrency must be >= 1, got {self.concurrency}"
@@ -449,37 +444,6 @@ class ServingResult:
         )
 
 
-class _ServeState:
-    """Mutable loop state (kept off the hot path's attribute lookups)."""
-
-    __slots__ = (
-        "queue",
-        "busy",
-        "n_system",
-        "last_t",
-        "area_system",
-        "area_busy",
-        "queue_peak",
-    )
-
-    def __init__(self) -> None:
-        self.queue: deque = deque()
-        self.busy = 0
-        self.n_system = 0
-        self.last_t = 0.0
-        self.area_system = 0.0
-        self.area_busy = 0.0
-        self.queue_peak = 0
-
-    def advance(self, now: float) -> None:
-        """Accumulate the Little's-law integrals up to ``now``."""
-        dt = now - self.last_t
-        if dt > 0:
-            self.area_system += self.n_system * dt
-            self.area_busy += self.busy * dt
-            self.last_t = now
-
-
 def serve(
     policy,
     trace: Trace,
@@ -510,7 +474,8 @@ def serve(
     ``resident`` membership view — works; this is how
     :func:`repro.cluster.serving_bridge.serve_cluster` routes requests
     across an N-shard cluster.  With ``engine`` given, ``policy`` is
-    ignored (pass ``None``) and the caller owns offline preparation.
+    ignored (pass ``None``) and the caller owns offline preparation
+    and telemetry, so ``recorder`` must not be given as well.
 
     Returns a :class:`ServingResult`; the run always drains (every
     admitted request completes or is dropped before the loop ends).
@@ -527,243 +492,270 @@ def serve(
         if policy.is_offline:
             policy.prepare(trace)
         engine = Engine(policy, trace.mapping, validate=validate, recorder=recorder)
+    elif recorder is not None:
+        raise ConfigurationError(
+            "serve(engine=..., recorder=...): a recorder is attached only to "
+            "an engine serve() builds; attach it to the given engine instead"
+        )
     engine.result.metadata.update(
         {k: v for k, v in trace.metadata.items() if isinstance(v, (str, int, float))}
     )
     items: List[int] = trace.items.tolist()
     n = len(items)
-    model = config.service
-    item_weights = model.item_weights(trace.mapping.universe)
-    service_rng = np.random.default_rng(
-        np.random.SeedSequence([model.seed, 0x53455256])
-    )
-    think_rng = np.random.default_rng(
-        np.random.SeedSequence([config.arrival.seed, 0x434C4F53])
-    )
-
+    item_weights = config.service.item_weights(trace.mapping.universe)
     result = ServingResult(
         sim=engine.result,
         serving=config.as_dict(),
-        latency=config.new_histogram(),
         latency_by_kind={key: config.new_histogram() for key in KIND_KEYS.values()},
         wait=config.new_histogram(),
     )
-    loop = EventLoop()
-    state = _ServeState()
-    arrival_time: List[float] = [0.0] * n
-    kinds: List[Optional[HitKind]] = [None] * n
-    closed = not config.arrival.open_loop
-    open_times: Optional[np.ndarray] = None
-
-    def _sample_think() -> float:
-        think = config.arrival.think
-        if think <= 0:
-            return 0.0
-        return float(think_rng.exponential(think))
-
     phase = (
         recorder.phase("serve") if recorder is not None else contextlib.nullcontext()
     )
     with spans.span("serve", policy=result.sim.policy, requests=n):
         with spans.span("serve.arrivals", process=config.arrival.process):
-            if not closed and n:
-                open_times = generate_arrivals(config.arrival, n)
-        with phase:
+            open_times = (
+                generate_arrivals(config.arrival, n)
+                if config.arrival.open_loop and n
+                else None
+            )
+        with phase, spans.span("serve.loop", requests=n):
             _run_loop(
-                loop,
-                state,
                 config,
                 engine,
                 items,
-                arrival_time,
-                kinds,
                 result,
-                model,
-                service_rng,
-                _sample_think,
+                item_weights,
                 open_times,
                 on_access,
                 on_event,
-                item_weights,
             )
-    result.duration = state.last_t
-    result.area_in_system = state.area_system
-    result.area_busy = state.area_busy
-    result.queue_peak = state.queue_peak
     if recorder is not None:
         recorder.finalize(engine.result)
     return result
 
 
+#: Event tags; the heap orders by ``(time, seq)`` and never compares them.
+_ARRIVE, _DONE = 0, 1
+
+
 def _run_loop(
-    loop: EventLoop,
-    state: _ServeState,
     config: ServingConfig,
     engine: Engine,
     items: List[int],
-    arrival_time: List[float],
-    kinds: List[Optional[HitKind]],
     result: ServingResult,
-    model: ServiceModel,
-    service_rng: np.random.Generator,
-    sample_think: Callable[[], float],
+    item_weights: Optional[np.ndarray],
     open_times: Optional[np.ndarray],
     on_access: Optional[Callable[[int, int, HitKind], None]],
     on_event: Optional[Callable[[str, float, int], None]],
-    item_weights: Optional[np.ndarray] = None,
 ) -> None:
-    """The event loop body (split out to keep :func:`serve` readable)."""
+    """The event loop: a heap of ``(time, seq, tag, index)`` events.
+
+    All loop state is local; the totals land in ``result`` at the end.
+    ``seq`` breaks same-time ties in scheduling order.  Every new
+    event time is ``now + service``, ``now + think`` (both >= 0) or the
+    next entry of the ascending open-loop arrival vector, so time never
+    runs backwards.
+
+    Closed loop: clients are interchangeable consumers of "the next
+    workload request", so the trace cursor is assigned when an arrival
+    is *processed*, not when it is scheduled — think-time randomness
+    can reorder issue events, and assigning at processing time keeps
+    cache accesses in trace order (the conformance invariant)
+    regardless.  ``issued`` counts scheduled arrivals so exactly ``n``
+    ever enter the system.  Open loop schedules the next arrival
+    lazily, which keeps the heap O(in-flight).
+    """
     n = len(items)
-    closed = not config.arrival.open_loop
-    # Closed loop: clients are interchangeable consumers of "the next
-    # workload request", so the trace cursor is assigned when an
-    # arrival is *processed*, not when it is scheduled — think-time
-    # randomness can reorder issue events, and assigning at processing
-    # time keeps cache accesses in trace order (the conformance
-    # invariant) regardless.  ``issued`` counts scheduled arrivals so
-    # exactly ``n`` ever enter the system.
-    cursor = 0
-    issued = 0
+    arrival = config.arrival
+    closed = not arrival.open_loop
+    think = arrival.think
+    think_rng = np.random.default_rng(
+        np.random.SeedSequence([arrival.seed, 0x434C4F53])
+    )
+    model = config.service
+    t_hit, t_miss, t_item = model.t_hit, model.t_miss, model.t_item
+    exponential = model.dist == "exponential"
+    service_rng = np.random.default_rng(
+        np.random.SeedSequence([model.seed, 0x53455256])
+    )
+    concurrency = config.concurrency
+    queue_limit = config.queue_limit if config.queue_limit is not None else math.inf
+    timeout = config.timeout if config.timeout is not None else math.inf
+    sjf = config.queue == "sjf"
+    sim = engine.result
+    access = engine.access
+    resident = engine.resident
+    record_wait = result.wait.record
+    by_kind = result.latency_by_kind
+    miss, temporal, spatial = (by_kind[key] for key in KIND_KEYS.values())
+    record_miss = miss.record
+    record_temporal = temporal.record
+    record_spatial = spatial.record
+    MISS, TEMPORAL_HIT = HitKind.MISS, HitKind.TEMPORAL_HIT
+    push, pop = heapq.heappush, heapq.heappop
 
-    def start_service(index: int, wait: float) -> None:
-        state.busy += 1
-        loaded_before = engine.result.loaded_items
-        kind = engine.access(items[index])
-        kinds[index] = kind
-        if on_access is not None:
-            on_access(index, items[index], kind)
-        if item_weights is None:
-            loaded = engine.result.loaded_items - loaded_before
-            service_time = model.sample(kind, loaded, service_rng)
-        else:
-            # Size-aware transfer cost: weigh each side-loaded item by
-            # its (normalized) value size instead of counting it as 1.
-            extra = 0.0
-            outcome = engine.last_outcome
-            if kind is HitKind.MISS and outcome is not None:
-                requested = items[index]
-                for loaded_item in outcome.loaded:
-                    if loaded_item != requested:
-                        extra += float(item_weights[loaded_item])
-            service_time = model.sample_weighted(kind, extra, service_rng)
-        result.wait_sum += wait
-        result.wait.record(wait)
-        result.service_sum += service_time
-        if on_event is not None:
-            on_event("start", loop.now, index)
-        loop.schedule(loop.now + service_time, "done", index)
+    heap: List[Tuple[float, int, int, int]] = []
+    seq = 0
+    queue: deque = deque()
+    arrival_time: List[float] = [0.0] * n
+    # Per request: the record method of its hit class's histogram.
+    record_kind: List[Any] = [None] * n
+    busy = n_system = queue_peak = 0
+    arrivals = completions = dropped_admission = dropped_timeout = 0
+    last_t = area_system = area_busy = 0.0
+    sojourn_sum = wait_sum = service_sum = 0.0
+    cursor = issued = 0
 
-    def expected_service(index: int) -> float:
-        # SJF key: peek shadow residency (read-only) for the likely kind.
-        if items[index] in engine.resident:
-            return model.t_hit
-        return model.t_hit + model.t_miss
-
-    def next_from_queue() -> Tuple[int, float]:
-        if config.queue == "fifo":
-            return state.queue.popleft()
-        best_pos = 0
-        best_key: Optional[Tuple[float, float]] = None
-        for pos, (index, enq_t) in enumerate(state.queue):
-            key = (expected_service(index), enq_t, index)
-            if best_key is None or key < best_key:
-                best_key = key
-                best_pos = pos
-        index, enq_t = state.queue[best_pos]
-        del state.queue[best_pos]
-        return index, enq_t
-
-    def drain_queue() -> None:
-        while state.queue and state.busy < config.concurrency:
-            index, enq_t = next_from_queue()
-            wait = loop.now - enq_t
-            if config.timeout is not None and wait > config.timeout:
-                result.dropped_timeout += 1
-                state.n_system -= 1
-                if on_event is not None:
-                    on_event("drop_timeout", loop.now, index)
-                continue
-            start_service(index, wait)
-
-    def issue_closed_arrival() -> None:
-        nonlocal issued
-        if issued < n:
+    if closed:
+        for _ in range(min(arrival.clients, n)):
             issued += 1
-            loop.schedule(loop.now + sample_think(), "arr", None)
+            t = float(think_rng.exponential(think)) if think > 0 else 0.0
+            push(heap, (t, seq, _ARRIVE, -1))
+            seq += 1
+    elif n:
+        push(heap, (open_times.item(0), seq, _ARRIVE, 0))
+        seq += 1
 
-    def handle_arrival(payload: Optional[int]) -> None:
-        nonlocal cursor
-        state.advance(loop.now)
-        if closed:
-            index = cursor
-            cursor += 1
-        else:
-            assert payload is not None
-            index = payload
-        arrival_time[index] = loop.now
-        result.arrivals += 1
-        if on_event is not None:
-            on_event("arrival", loop.now, index)
-        # Next arrival is scheduled lazily: keeps the heap O(in-flight).
-        if not closed and index + 1 < n:
-            assert open_times is not None
-            loop.schedule(float(open_times[index + 1]), "arr", index + 1)
-        if (
-            config.queue_limit is not None
-            and state.busy >= config.concurrency
-            and len(state.queue) >= config.queue_limit
-        ):
-            result.dropped_admission += 1
+    while heap:
+        now, _, tag, index = pop(heap)
+        # Little's-law integrals up to ``now``, before the event acts.
+        dt = now - last_t
+        if dt > 0:
+            area_system += n_system * dt
+            area_busy += busy * dt
+            last_t = now
+        if tag == _DONE:
+            busy -= 1
+            n_system -= 1
+            completions += 1
+            sojourn = now - arrival_time[index]
+            sojourn_sum += sojourn
+            record_kind[index](sojourn)
             if on_event is not None:
-                on_event("drop_admission", loop.now, index)
+                on_event("done", now, index)
+            released = True
+            index = -1  # nothing new to start; drain the queue below
+        else:
             if closed:
-                issue_closed_arrival()
-            return
-        state.n_system += 1
-        if state.busy < config.concurrency:
-            start_service(index, 0.0)
-        else:
-            state.queue.append((index, loop.now))
-            if len(state.queue) > state.queue_peak:
-                state.queue_peak = len(state.queue)
-
-    def handle_done(index: int) -> None:
-        state.advance(loop.now)
-        state.busy -= 1
-        state.n_system -= 1
-        result.completions += 1
-        sojourn = loop.now - arrival_time[index]
-        result.sojourn_sum += sojourn
-        result.latency.record(sojourn)
-        kind = kinds[index]
-        assert kind is not None
-        result.latency_by_kind[KIND_KEYS[kind]].record(sojourn)
-        if on_event is not None:
-            on_event("done", loop.now, index)
-        drain_queue()
-        if closed:
-            issue_closed_arrival()
-
-    # Seed the loop.
-    if n:
-        if closed:
-            for _ in range(min(config.arrival.clients, n)):
-                issued += 1
-                loop.schedule(sample_think(), "arr", None)
-        else:
-            assert open_times is not None
-            loop.schedule(float(open_times[0]), "arr", 0)
-
-    with spans.span("serve.loop", requests=n):
-        while True:
-            event = loop.pop()
-            if event is None:
-                break
-            _, tag, payload = event
-            if tag == "arr":
-                handle_arrival(payload)
+                index = cursor
+                cursor += 1
+            arrival_time[index] = now
+            arrivals += 1
+            if on_event is not None:
+                on_event("arrival", now, index)
+            if not closed and index + 1 < n:
+                push(heap, (open_times.item(index + 1), seq, _ARRIVE, index + 1))
+                seq += 1
+            released = False
+            if busy < concurrency:
+                # A free server implies an empty queue: start right away.
+                n_system += 1
+            elif len(queue) >= queue_limit:
+                dropped_admission += 1
+                if on_event is not None:
+                    on_event("drop_admission", now, index)
+                released = True
+                index = -1
             else:
-                handle_done(payload)
+                n_system += 1
+                queue.append((index, now))
+                if len(queue) > queue_peak:
+                    queue_peak = len(queue)
+                index = -1
+
+        # Start service: the arrival that found a free server, or else
+        # queued requests while servers are free.
+        while True:
+            if index >= 0:
+                wait = 0.0
+            elif queue and busy < concurrency:
+                if sjf and len(queue) > 1:
+                    # Shortest expected job first: peek shadow residency
+                    # (read-only) for the likely kind; ties by enqueue time.
+                    best_pos = 0
+                    best_key: Optional[Tuple[float, float, int]] = None
+                    for pos, (i, enq_t) in enumerate(queue):
+                        expected = t_hit if items[i] in resident else t_hit + t_miss
+                        key = (expected, enq_t, i)
+                        if best_key is None or key < best_key:
+                            best_key = key
+                            best_pos = pos
+                    index, enq_t = queue[best_pos]
+                    del queue[best_pos]
+                else:
+                    index, enq_t = queue.popleft()
+                wait = now - enq_t
+                if wait > timeout:
+                    dropped_timeout += 1
+                    n_system -= 1
+                    if on_event is not None:
+                        on_event("drop_timeout", now, index)
+                    index = -1
+                    continue
+            else:
+                break
+            busy += 1
+            loaded_before = sim.loaded_items
+            item = items[index]
+            kind = access(item)
+            if on_access is not None:
+                on_access(index, item, kind)
+            if kind is MISS:
+                record_kind[index] = record_miss
+                if item_weights is None:
+                    loaded = sim.loaded_items - loaded_before
+                    mean = t_hit + t_miss + t_item * max(0, loaded - 1)
+                else:
+                    # Size-aware transfer cost: weigh each side-loaded
+                    # item by its (normalized) value size.
+                    extra = 0.0
+                    outcome = engine.last_outcome
+                    if outcome is not None:
+                        for loaded_item in outcome.loaded:
+                            if loaded_item != item:
+                                extra += float(item_weights[loaded_item])
+                    mean = t_hit + t_miss + t_item * extra
+            else:
+                record_kind[index] = (
+                    record_temporal if kind is TEMPORAL_HIT else record_spatial
+                )
+                mean = t_hit
+            if not exponential:
+                service = mean
+            else:
+                service = float(service_rng.exponential(mean)) if mean > 0 else 0.0
+            wait_sum += wait
+            record_wait(wait)
+            service_sum += service
+            if on_event is not None:
+                on_event("start", now, index)
+            push(heap, (now + service, seq, _DONE, index))
+            seq += 1
+            index = -1
+
+        if closed and released and issued < n:
+            issued += 1
+            t = float(think_rng.exponential(think)) if think > 0 else 0.0
+            push(heap, (now + t, seq, _ARRIVE, -1))
+            seq += 1
+
+    result.arrivals = arrivals
+    result.completions = completions
+    result.dropped_admission = dropped_admission
+    result.dropped_timeout = dropped_timeout
+    result.duration = last_t
+    result.sojourn_sum = sojourn_sum
+    result.wait_sum = wait_sum
+    result.service_sum = service_sum
+    result.area_in_system = area_system
+    result.area_busy = area_busy
+    result.queue_peak = queue_peak
+    # The overall latency histogram is the bucket-wise sum of the
+    # per-class ones, so each sojourn is recorded once.  Its total is
+    # ``sojourn_sum``: the same values, added in the same order.
+    result.latency = miss.merged_with(temporal).merged_with(spatial)
+    result.latency.total = sojourn_sum
 
 
 def serve_policy(

@@ -14,11 +14,25 @@ shows up as a reviewable diff of these JSON files.
 
 Randomized policies (``gcm*``, ``item-random``) are pinned by their
 default seeds; the fixtures are deterministic.
+
+``serving.json`` is written separately, only on request::
+
+    PYTHONPATH=src python tests/golden/regen.py --serving
+
+It pins :func:`repro.serving.serve` on two of the traces above: the
+sha256 of each run's ``ServingResult.fields()`` JSON and of its
+``on_event`` stream, for three policies under five serving configs
+(FIFO, SJF, closed loop, MMPP with admission and timeout drops,
+exponential service with ETC value sizes).
+``tests/test_serving_golden.py`` replays the grid, so a refactor of the
+serving loop that moves a single float or event shows up there.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +47,7 @@ from repro.core.fast import (
 from repro.core.mapping import ExplicitBlockMapping, FixedBlockMapping
 from repro.core.trace import Trace
 from repro.policies import make_policy, policy_names
+from repro.serving import ArrivalSpec, ServiceModel, ServingConfig, serve
 
 HERE = Path(__file__).parent
 CAPACITIES = [4, 16]
@@ -111,6 +126,116 @@ def _mapping_payload(mapping) -> dict:
     }
 
 
+#: Serving golden grid: trace fixture -> capacity, the policies, and the
+#: configs (each one exercises a different branch of the event loop).
+SERVING_TRACES = {"markov": 16, "ragged": 6}
+SERVING_POLICIES = ["iblp", "item-lru", "block-lru"]
+
+
+def serving_configs() -> dict:
+    return {
+        "fifo": ServingConfig(
+            arrival=ArrivalSpec(process="poisson", rate=0.1, seed=1),
+            service=ServiceModel(t_hit=1.0, t_miss=20.0, t_item=1.0),
+            concurrency=2,
+        ),
+        "sjf": ServingConfig(
+            arrival=ArrivalSpec(process="poisson", rate=0.15, seed=2),
+            service=ServiceModel(t_hit=1.0, t_miss=20.0, t_item=0.5),
+            concurrency=2,
+            queue="sjf",
+        ),
+        "closed": ServingConfig(
+            arrival=ArrivalSpec(process="closed", clients=3, think=5.0, seed=4),
+            service=ServiceModel(t_hit=1.0, t_miss=20.0, t_item=1.0),
+            concurrency=2,
+        ),
+        "mmpp-drops": ServingConfig(
+            arrival=ArrivalSpec(
+                process="mmpp", rate=0.1, mean_on=200.0, mean_off=200.0, seed=3
+            ),
+            service=ServiceModel(t_hit=1.0, t_miss=20.0, t_item=1.0),
+            concurrency=1,
+            queue_limit=3,
+            timeout=30.0,
+        ),
+        "exp-etc": ServingConfig(
+            arrival=ArrivalSpec(process="poisson", rate=0.05, seed=5),
+            service=ServiceModel(
+                t_hit=1.0,
+                t_miss=20.0,
+                t_item=2.0,
+                dist="exponential",
+                seed=6,
+                size_dist="etc",
+                size_seed=7,
+            ),
+            concurrency=2,
+        ),
+    }
+
+
+def load_trace(name: str) -> Trace:
+    """Rebuild a golden trace from its committed JSON fixture."""
+    payload = json.loads((HERE / f"{name}.json").read_text())
+    m = payload["mapping"]
+    if m["kind"] == "fixed":
+        mapping = FixedBlockMapping(m["universe"], m["block_size"])
+    else:
+        mapping = ExplicitBlockMapping(
+            m["block_ids"], max_block_size=m["max_block_size"]
+        )
+    return Trace(np.asarray(payload["items"], dtype=np.int64), mapping)
+
+
+def sha256_json(payload) -> str:
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def serving_digests(policy_name: str, capacity: int, trace: Trace, config) -> dict:
+    """Serve one cell; digest its result payload and its event stream."""
+    events: list = []
+    result = serve(
+        make_policy(policy_name, capacity, trace.mapping),
+        trace,
+        config,
+        on_event=lambda name, t, index: events.append([name, t, index]),
+    )
+    return {
+        "fields_sha256": sha256_json(result.fields()),
+        "events_sha256": sha256_json(events),
+        "events": len(events),
+        "completions": result.completions,
+        "dropped": result.dropped,
+        "misses": result.sim.misses,
+        "p99": result.p99,
+    }
+
+
+def main_serving() -> None:
+    cases = []
+    for trace_name, capacity in SERVING_TRACES.items():
+        trace = load_trace(trace_name)
+        for policy_name in SERVING_POLICIES:
+            for config_name, config in serving_configs().items():
+                cases.append(
+                    {
+                        "trace": trace_name,
+                        "capacity": capacity,
+                        "policy": policy_name,
+                        "config_name": config_name,
+                        "config": config.as_dict(),
+                        "expected": serving_digests(
+                            policy_name, capacity, trace, config
+                        ),
+                    }
+                )
+    path = HERE / "serving.json"
+    path.write_text(json.dumps({"cases": cases}, indent=1) + "\n")
+    print(f"wrote {path} ({len(cases)} serving cases)")
+
+
 def main() -> None:
     for name, trace in golden_traces().items():
         expected: dict = {}
@@ -170,4 +295,7 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    if "--serving" in sys.argv[1:]:
+        main_serving()
+    else:
+        main()

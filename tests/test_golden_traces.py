@@ -22,7 +22,11 @@ from repro.core.trace import Trace
 from repro.policies import make_policy, policy_names
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
-GOLDEN_FILES = sorted(GOLDEN_DIR.glob("*.json"))
+#: Trace fixtures only; ``serving.json`` is replayed by
+#: ``tests/test_serving_golden.py``.
+GOLDEN_FILES = sorted(
+    p for p in GOLDEN_DIR.glob("*.json") if p.name != "serving.json"
+)
 FIELDS = (
     "accesses",
     "misses",

@@ -2,8 +2,9 @@
 
 Four laws pin the discrete-event core:
 
-* **Monotone time** — popped event timestamps never decrease, ties
-  resolve in insertion order, and scheduling into the past raises.
+* **Monotone time** — the ``on_event`` stream of every run has
+  nondecreasing timestamps (same-time ties keep their scheduling
+  order, which ``tests/test_serving_golden.py`` pins event by event).
 * **Conservation** — after the loop drains, every arrival is accounted
   for: ``arrivals = completions + dropped`` (nothing in flight), and
   only non-dropped requests touched the cache.
@@ -23,10 +24,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import ConfigurationError
 from repro.serving import (
     ArrivalSpec,
-    EventLoop,
     ServiceModel,
     ServingConfig,
     serve_policy,
@@ -36,50 +35,6 @@ from repro.workloads import uniform_random
 
 def make_trace(length=400, universe=64, seed=0):
     return uniform_random(length, universe, 4, seed)
-
-
-# ---------------------------------------------------------------------------
-# Event heap
-# ---------------------------------------------------------------------------
-class TestEventLoop:
-    @given(
-        st.lists(st.floats(min_value=0.0, max_value=1e6, allow_nan=False), max_size=60)
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_pops_in_monotone_time_order(self, times):
-        loop = EventLoop()
-        for i, t in enumerate(times):
-            loop.schedule(t, "e", i)
-        popped = []
-        while True:
-            event = loop.pop()
-            if event is None:
-                break
-            popped.append(event)
-        assert len(popped) == len(times)
-        assert [t for t, _, _ in popped] == sorted(times)
-        assert loop.processed == len(times)
-
-    @given(st.integers(min_value=2, max_value=30))
-    @settings(max_examples=20, deadline=None)
-    def test_ties_break_in_insertion_order(self, n):
-        loop = EventLoop()
-        for i in range(n):
-            loop.schedule(5.0, "e", i)
-        payloads = []
-        while True:
-            event = loop.pop()
-            if event is None:
-                break
-            payloads.append(event[2])
-        assert payloads == list(range(n))
-
-    def test_scheduling_into_the_past_raises(self):
-        loop = EventLoop()
-        loop.schedule(10.0, "a")
-        assert loop.pop()[0] == 10.0
-        with pytest.raises(ConfigurationError):
-            loop.schedule(9.0, "b")
 
 
 # ---------------------------------------------------------------------------
